@@ -418,12 +418,8 @@ pub fn run(scale: Scale, grid: dse::GridKind) {
     // accuracy outcome. The starved 64 B filter must show a strictly
     // higher measured FP omission rate than the paper's 20 KB baseline
     // (§3.6's analytic prediction, observed behaviourally).
-    let idx = |want: fn(&KnobPoint) -> bool| {
-        points
-            .iter()
-            .position(want)
-            .expect("grid point present")
-    };
+    let idx =
+        |want: fn(&KnobPoint) -> bool| points.iter().position(want).expect("grid point present");
     let base = idx(|p| *p == KnobPoint::baseline());
     let starved = idx(|p| p.bloom_bytes == 64 && p.bloom_hashes == 2);
     assert!(

@@ -67,6 +67,27 @@ impl Default for AbuseCfg {
     }
 }
 
+impl AbuseCfg {
+    /// Check the thresholds [`MisbehaviorLedger::new`] relies on.
+    pub fn validate(&self) -> Result<(), String> {
+        let rules = [
+            (
+                self.exit_score < self.enter_score,
+                "hysteresis needs exit_score < enter_score",
+            ),
+            ((0.0..1.0).contains(&self.decay), "decay must be in [0, 1)"),
+            (
+                self.penalty_fraction > 0.0 && self.penalty_fraction < 1.0,
+                "penalty fraction must be in (0, 1)",
+            ),
+        ];
+        match rules.iter().find(|(holds, _)| !holds) {
+            Some((_, why)) => Err(why.to_string()),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Clamp directive produced by
 /// [`crate::FabricManager::abuse_tick`]: the caller pushes it to the
 /// offending tenant's edges.
@@ -112,16 +133,13 @@ pub struct MisbehaviorLedger {
 
 impl MisbehaviorLedger {
     /// A ledger over `n_tenants` with the given thresholds.
+    ///
+    /// # Panics
+    /// Panics if [`AbuseCfg::validate`] rejects `cfg`.
     pub fn new(cfg: AbuseCfg, n_tenants: usize) -> Self {
-        assert!(
-            cfg.exit_score < cfg.enter_score,
-            "hysteresis needs exit_score < enter_score"
-        );
-        assert!((0.0..1.0).contains(&cfg.decay), "decay must be in [0, 1)");
-        assert!(
-            cfg.penalty_fraction > 0.0 && cfg.penalty_fraction < 1.0,
-            "penalty fraction must be in (0, 1)"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         Self {
             cfg,
             rows: vec![MisRow::default(); n_tenants],

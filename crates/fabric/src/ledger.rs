@@ -17,17 +17,15 @@
 //! or double-counts capacity (see [`Ledger::conservation`]). On graphs
 //! without tier tags only the access link is accounted, which is the
 //! conservative edge-only hose model.
+//!
+//! Layout: everything is indexed by node id or link index — no hashing
+//! on the commit/release path. The spread table depends only on the
+//! topology and the cordon set, so clones of a ledger share it.
 
 use netsim::{NodeId, PortNo};
-use std::collections::{BTreeSet, HashMap};
-use topology::Topo;
-
-/// Node-tier codes used for the up-walk.
-const T_HOST: u8 = 0;
-const T_TOR: u8 = 1;
-const T_AGG: u8 = 2;
-const T_CORE: u8 = 3;
-const T_OTHER: u8 = 4;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use topology::{NodeKind, Tier, Topo};
 
 /// One undirected link with its running committed-B_min total.
 #[derive(Debug, Clone)]
@@ -63,15 +61,40 @@ impl Link {
     }
 }
 
+/// Host → the links (and fractions) its hose commits to, flattened:
+/// host `h`'s entries are `entries[at[h].0..at[h].1]`, sorted by link
+/// index; `at` is `None` for nodes that are not hosts.
+#[derive(Debug)]
+struct Spread {
+    at: Vec<Option<(usize, usize)>>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl Spread {
+    fn of(&self, host: NodeId) -> &[(usize, f64)] {
+        match self.at.get(host.idx()) {
+            Some(&Some((s, e))) => &self.entries[s..e],
+            _ => panic!("node {host} is not a host of this ledger"),
+        }
+    }
+}
+
 /// Per-link committed-B_min accounting with an admissibility check.
 #[derive(Debug, Clone)]
 pub struct Ledger {
     links: Vec<Link>,
-    /// Both `(node, port)` directions of a link map to its index.
-    by_port: HashMap<(u32, u16), usize>,
-    /// Host → the links (and fractions) its hose commits to.
-    spread: HashMap<u32, Vec<(usize, f64)>>,
+    spread: Arc<Spread>,
     headroom: f64,
+}
+
+/// Is `to` one tier up from a `from` switch on the hose up-walk? A ToR
+/// climbs to aggs (or straight to cores); an agg climbs to cores.
+fn climbs(from: Tier, to: Option<NodeKind>) -> bool {
+    matches!(
+        (from, to),
+        (Tier::Tor, Some(NodeKind::Switch(Tier::Agg | Tier::Core)))
+            | (Tier::Agg, Some(NodeKind::Switch(Tier::Core)))
+    )
 }
 
 impl Ledger {
@@ -101,111 +124,131 @@ impl Ledger {
             headroom > 0.0 && headroom <= 1.0,
             "ledger headroom must be in (0, 1], got {headroom}"
         );
-        let mut tier = vec![T_OTHER; topo.n_nodes()];
-        for &h in &topo.hosts {
-            tier[h.idx()] = T_HOST;
-        }
-        for &t in &topo.tors {
-            tier[t.idx()] = T_TOR;
-        }
-        for &a in &topo.aggs {
-            tier[a.idx()] = T_AGG;
-        }
-        for &c in &topo.cores {
-            tier[c.idx()] = T_CORE;
-        }
-
-        // Enumerate undirected links once, in node-id order (the ledger
-        // must be identical however the topology was assembled).
-        let mut links = Vec::new();
-        let mut by_port = HashMap::new();
-        for n in 0..topo.n_nodes() {
-            let node = NodeId(n as u32);
-            for a in topo.neighbors(node) {
-                if a.peer.idx() < n {
-                    continue; // recorded from the other side
-                }
-                let idx = links.len();
-                links.push(Link {
-                    node,
-                    port: a.port,
-                    peer: a.peer,
-                    cap_bps: a.cap_bps as f64,
-                    committed_bps: 0.0,
-                    access: tier[n] == T_HOST || tier[a.peer.idx()] == T_HOST,
-                });
-                by_port.insert((node.raw(), a.port.0), idx);
-                by_port.insert((a.peer.raw(), a.peer_port.0), idx);
+        let n = topo.n_nodes();
+        let is_host = |x: NodeId| topo.kind(x) == Some(NodeKind::Host);
+        let mut skip = vec![false; n];
+        for &raw in cordoned {
+            if let Some(c) = skip.get_mut(raw as usize) {
+                *c = true;
             }
         }
 
+        // Enumerate undirected links once, in node-id order (the ledger
+        // must be identical however the topology was assembled), and
+        // give every adjacency slot its link: entry `k` of
+        // `topo.neighbors(x)` is link `slot_link[slot_at[x] + k]`.
+        let mut links = Vec::new();
+        let mut slot_at = Vec::with_capacity(n + 1);
+        let mut slot_link: Vec<usize> = Vec::new();
+        for i in 0..n {
+            let node = NodeId(i as u32);
+            slot_at.push(slot_link.len());
+            for a in topo.neighbors(node) {
+                let p = a.peer.idx();
+                let link = if p < i {
+                    // Recorded from the other side, at the slot whose
+                    // port faces back on this one.
+                    let back = topo
+                        .neighbors(a.peer)
+                        .iter()
+                        .position(|b| b.port == a.peer_port);
+                    slot_link[slot_at[p] + back.expect("adjacency is symmetric")]
+                } else {
+                    links.push(Link {
+                        node,
+                        port: a.port,
+                        peer: a.peer,
+                        cap_bps: a.cap_bps as f64,
+                        committed_bps: 0.0,
+                        access: is_host(node) || is_host(a.peer),
+                    });
+                    links.len() - 1
+                };
+                slot_link.push(link);
+            }
+        }
+        slot_at.push(slot_link.len());
+
+        // Every ToR's and agg's surviving uplinks, as (link, far end):
+        // `up[up_at[x]..up_at[x + 1]]`, in adjacency order.
+        let mut up_at = Vec::with_capacity(n + 1);
+        let mut up: Vec<(usize, NodeId)> = Vec::new();
+        for i in 0..n {
+            up_at.push(up.len());
+            let node = NodeId(i as u32);
+            let Some(NodeKind::Switch(tier)) = topo.kind(node) else {
+                continue;
+            };
+            for (k, a) in topo.neighbors(node).iter().enumerate() {
+                if climbs(tier, topo.kind(a.peer)) && !skip[a.peer.idx()] {
+                    up.push((slot_link[slot_at[i] + k], a.peer));
+                }
+            }
+        }
+        up_at.push(up.len());
+        let ups = |x: NodeId| &up[up_at[x.idx()]..up_at[x.idx() + 1]];
+
         // Per-host fractional spread along the tiered up-walk.
-        let mut spread = HashMap::new();
+        let mut at = vec![None; n];
+        let mut entries: Vec<(usize, f64)> = Vec::new();
         for &h in &topo.hosts {
-            let mut frac: Vec<(usize, f64)> = Vec::new();
+            let start = entries.len();
             let nics = topo.neighbors(h);
             let f0 = 1.0 / nics.len() as f64;
-            for nic in nics {
-                frac.push((by_port[&(h.raw(), nic.port.0)], f0));
-                let tor = nic.peer;
-                if tier[tor.idx()] != T_TOR {
+            for (k, nic) in nics.iter().enumerate() {
+                entries.push((slot_link[slot_at[h.idx()] + k], f0));
+                if topo.kind(nic.peer) != Some(NodeKind::Switch(Tier::Tor)) {
                     continue; // untiered graph: access-only accounting
                 }
-                let ups: Vec<_> = topo
-                    .neighbors(tor)
-                    .iter()
-                    .filter(|a| {
-                        tier[a.peer.idx()] > T_TOR
-                            && tier[a.peer.idx()] != T_OTHER
-                            && !cordoned.contains(&a.peer.raw())
-                    })
-                    .collect();
-                if ups.is_empty() {
+                let tor_ups = ups(nic.peer);
+                if tor_ups.is_empty() {
                     continue;
                 }
-                let f1 = f0 / ups.len() as f64;
-                for up in ups {
-                    frac.push((by_port[&(tor.raw(), up.port.0)], f1));
-                    let agg = up.peer;
-                    if tier[agg.idx()] != T_AGG {
+                let f1 = f0 / tor_ups.len() as f64;
+                for &(link, agg) in tor_ups {
+                    entries.push((link, f1));
+                    if topo.kind(agg) != Some(NodeKind::Switch(Tier::Agg)) {
                         continue; // ToR wired straight into the core tier
                     }
-                    let cores: Vec<_> = topo
-                        .neighbors(agg)
-                        .iter()
-                        .filter(|a| {
-                            tier[a.peer.idx()] == T_CORE && !cordoned.contains(&a.peer.raw())
-                        })
-                        .collect();
+                    let cores = ups(agg);
                     if cores.is_empty() {
                         continue;
                     }
                     let f2 = f1 / cores.len() as f64;
-                    for c in cores {
-                        frac.push((by_port[&(agg.raw(), c.port.0)], f2));
-                    }
+                    entries.extend(cores.iter().map(|&(link, _)| (link, f2)));
                 }
             }
             // Fold duplicate links (e.g. two ToR uplinks reaching the
             // same agg) into one entry each, sorted for determinism.
-            frac.sort_by_key(|&(i, _)| i);
-            frac.dedup_by(|b, a| {
-                if a.0 == b.0 {
-                    a.1 += b.1;
-                    true
+            entries[start..].sort_by_key(|&(i, _)| i);
+            let mut kept = start;
+            for r in start..entries.len() {
+                if kept > start && entries[kept - 1].0 == entries[r].0 {
+                    entries[kept - 1].1 += entries[r].1;
                 } else {
-                    false
+                    entries[kept] = entries[r];
+                    kept += 1;
                 }
-            });
-            spread.insert(h.raw(), frac);
+            }
+            entries.truncate(kept);
+            at[h.idx()] = Some((start, kept));
         }
 
         Self {
             links,
-            by_port,
-            spread,
+            spread: Arc::new(Spread { at, entries }),
             headroom,
         }
+    }
+
+    /// The same ledger with nothing committed — the starting point of a
+    /// shadow rebuild. Shares the spread table.
+    pub fn cleared(&self) -> Self {
+        let mut l = self.clone();
+        for link in &mut l.links {
+            link.committed_bps = 0.0;
+        }
+        l
     }
 
     /// Number of undirected links tracked.
@@ -228,16 +271,7 @@ impl Ledger {
     /// # Panics
     /// Panics if `host` is not a host of the ledger's topology.
     pub fn spread_of(&self, host: NodeId) -> &[(usize, f64)] {
-        self.spread
-            .get(&host.raw())
-            .unwrap_or_else(|| panic!("node {host} is not a host of this ledger"))
-    }
-
-    /// Committed bandwidth on the link out of `(node, port)`, if tracked.
-    pub fn committed_on(&self, node: NodeId, port: PortNo) -> Option<f64> {
-        self.by_port
-            .get(&(node.raw(), port.0))
-            .map(|&i| self.links[i].committed_bps)
+        self.spread.of(host)
     }
 
     /// Float slack: commitments are sums of exact products, but admission
@@ -288,11 +322,7 @@ impl Ledger {
     /// and the snapshot/restore path — where the original commitment was
     /// already admission-checked.
     pub fn replay_commit(&mut self, host: NodeId, hose_bps: f64) {
-        let spread = self
-            .spread
-            .get(&host.raw())
-            .unwrap_or_else(|| panic!("node {host} is not a host of this ledger"));
-        for &(i, f) in spread {
+        for &(i, f) in self.spread.of(host) {
             self.links[i].committed_bps += f * hose_bps;
         }
     }
@@ -303,11 +333,7 @@ impl Ledger {
     /// Panics if the release would drive a link's committed total
     /// negative (a double release).
     pub fn release(&mut self, host: NodeId, hose_bps: f64) {
-        let spread = self
-            .spread
-            .get(&host.raw())
-            .unwrap_or_else(|| panic!("node {host} is not a host of this ledger"));
-        for &(i, f) in spread {
+        for &(i, f) in self.spread.of(host) {
             let l = &mut self.links[i];
             l.committed_bps -= f * hose_bps;
             assert!(
@@ -431,6 +457,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use netsim::builder::LinkSpec;
+    use std::collections::HashMap;
     use topology::{leaf_spine, three_tier, ThreeTierCfg};
 
     fn small_leaf_spine() -> Topo {
@@ -620,6 +647,156 @@ mod tests {
         assert_eq!(l1.n_links(), l2.n_links());
         for &h in &t1.hosts {
             assert_eq!(l1.spread_of(h), l2.spread_of(h));
+        }
+    }
+
+    /// The straightforward up-walk the dense build replaced: a tier
+    /// table from the per-tier lists, a `(node, port) → link` map, and
+    /// a per-host walk that filters every switch's neighbors on the fly.
+    /// Returns the links and every host's spread.
+    fn reference(
+        topo: &Topo,
+        cordoned: &BTreeSet<u32>,
+    ) -> (Vec<Link>, HashMap<u32, Vec<(usize, f64)>>) {
+        const T_HOST: u8 = 0;
+        const T_TOR: u8 = 1;
+        const T_AGG: u8 = 2;
+        const T_CORE: u8 = 3;
+        const T_OTHER: u8 = 4;
+        let mut tier = vec![T_OTHER; topo.n_nodes()];
+        for (list, t) in [
+            (&topo.hosts, T_HOST),
+            (&topo.tors, T_TOR),
+            (&topo.aggs, T_AGG),
+            (&topo.cores, T_CORE),
+        ] {
+            for n in list {
+                tier[n.idx()] = t;
+            }
+        }
+        let mut links = Vec::new();
+        let mut by_port = HashMap::new();
+        for n in 0..topo.n_nodes() {
+            let node = NodeId(n as u32);
+            for a in topo.neighbors(node) {
+                if a.peer.idx() < n {
+                    continue;
+                }
+                by_port.insert((node.raw(), a.port.0), links.len());
+                by_port.insert((a.peer.raw(), a.peer_port.0), links.len());
+                links.push(Link {
+                    node,
+                    port: a.port,
+                    peer: a.peer,
+                    cap_bps: a.cap_bps as f64,
+                    committed_bps: 0.0,
+                    access: tier[n] == T_HOST || tier[a.peer.idx()] == T_HOST,
+                });
+            }
+        }
+        let mut spread = HashMap::new();
+        for &h in &topo.hosts {
+            let mut frac: Vec<(usize, f64)> = Vec::new();
+            let nics = topo.neighbors(h);
+            let f0 = 1.0 / nics.len() as f64;
+            for nic in nics {
+                frac.push((by_port[&(h.raw(), nic.port.0)], f0));
+                let tor = nic.peer;
+                if tier[tor.idx()] != T_TOR {
+                    continue;
+                }
+                let ups: Vec<_> = topo
+                    .neighbors(tor)
+                    .iter()
+                    .filter(|a| {
+                        tier[a.peer.idx()] > T_TOR
+                            && tier[a.peer.idx()] != T_OTHER
+                            && !cordoned.contains(&a.peer.raw())
+                    })
+                    .collect();
+                if ups.is_empty() {
+                    continue;
+                }
+                let f1 = f0 / ups.len() as f64;
+                for up in ups {
+                    frac.push((by_port[&(tor.raw(), up.port.0)], f1));
+                    let agg = up.peer;
+                    if tier[agg.idx()] != T_AGG {
+                        continue;
+                    }
+                    let cores: Vec<_> = topo
+                        .neighbors(agg)
+                        .iter()
+                        .filter(|a| {
+                            tier[a.peer.idx()] == T_CORE && !cordoned.contains(&a.peer.raw())
+                        })
+                        .collect();
+                    if cores.is_empty() {
+                        continue;
+                    }
+                    let f2 = f1 / cores.len() as f64;
+                    for c in cores {
+                        frac.push((by_port[&(agg.raw(), c.port.0)], f2));
+                    }
+                }
+            }
+            frac.sort_by_key(|&(i, _)| i);
+            frac.dedup_by(|b, a| {
+                if a.0 == b.0 {
+                    a.1 += b.1;
+                    true
+                } else {
+                    false
+                }
+            });
+            spread.insert(h.raw(), frac);
+        }
+        (links, spread)
+    }
+
+    /// The dense build against [`reference`]: the same links in the same
+    /// order, and every host's spread with the same fraction bits.
+    fn assert_matches_reference(t: &Topo, cordoned: &BTreeSet<u32>) {
+        let l = Ledger::new_excluding(t, 0.9, cordoned);
+        let (links, spread) = reference(t, cordoned);
+        assert_eq!(l.n_links(), links.len());
+        for (a, b) in l.links().iter().zip(&links) {
+            assert_eq!(
+                (a.node, a.port, a.peer, a.access, a.cap_bps.to_bits()),
+                (b.node, b.port, b.peer, b.access, b.cap_bps.to_bits())
+            );
+        }
+        let bits = |s: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            s.iter().map(|&(i, f)| (i, f.to_bits())).collect()
+        };
+        for &h in &t.hosts {
+            assert_eq!(
+                bits(l.spread_of(h)),
+                bits(&spread[&h.raw()]),
+                "host {h}, cordoned {cordoned:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_build_matches_the_reference_walk() {
+        let shapes = [
+            small_leaf_spine(),
+            three_tier(ThreeTierCfg {
+                pods: 4,
+                tors_per_pod: 4,
+                hosts_per_tor: 8,
+                aggs_per_pod: 4,
+                cores: 8,
+                ..ThreeTierCfg::default()
+            }),
+            three_tier(ThreeTierCfg::paper_512(16)),
+        ];
+        for t in &shapes {
+            assert_matches_reference(t, &BTreeSet::new());
+            for &sw in t.aggs.iter().chain(&t.cores) {
+                assert_matches_reference(t, &[sw.raw()].into_iter().collect());
+            }
         }
     }
 }

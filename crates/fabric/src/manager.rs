@@ -318,8 +318,6 @@ pub struct AdvanceOut {
 pub struct FabricManager {
     cfg: AdmissionCfg,
     ledger: Ledger,
-    /// Pristine copy for audit replays.
-    baseline: Ledger,
     placer: Placer,
     tenants: Vec<TenantRun>,
     /// Next tenant (by plan order) whose decision hasn't fired yet.
@@ -346,7 +344,6 @@ impl FabricManager {
             "one fabric id per planned tenant"
         );
         let ledger = Ledger::new(topo, cfg.headroom);
-        let baseline = ledger.clone();
         let placer = Placer::new(&topo.hosts, cfg.policy, cfg.max_vms_per_host);
         let tenants: Vec<TenantRun> = plan
             .admitted
@@ -368,7 +365,6 @@ impl FabricManager {
         Self {
             cfg,
             ledger,
-            baseline,
             placer,
             tenants,
             admit_cursor: 0,
@@ -574,7 +570,7 @@ impl FabricManager {
     /// `fabric_ledger_conservation` invariant.
     pub fn audit(&self) -> Result<(), String> {
         self.ledger.conservation()?;
-        let mut shadow = self.baseline.clone();
+        let mut shadow = self.ledger.cleared();
         for t in &self.tenants {
             // Suspected and Reinstated tenants still hold their
             // guarantee; Quarantined capacity was released back to the

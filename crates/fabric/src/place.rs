@@ -116,6 +116,11 @@ impl Placer {
         self.cordoned[i] = cordoned;
     }
 
+    /// Lift every host's cordon flag.
+    pub fn clear_cordons(&mut self) {
+        self.cordoned.fill(false);
+    }
+
     /// Is `host` cordoned?
     pub fn is_cordoned(&self, host: NodeId) -> bool {
         self.cordoned[self.host_idx[&host.raw()]]
@@ -268,23 +273,25 @@ impl Placer {
 
     /// Restore occupancy captured by [`Placer::dump_state`] into a fresh
     /// placer (cordon flags travel separately — they are manager state).
-    ///
-    /// # Panics
-    /// Panics if a row names an unknown host or exceeds the slot cap.
-    pub fn restore_state(&mut self, rows: &[(u32, usize, u64)]) {
+    /// Snapshot rows are untrusted: a row naming an unknown host or
+    /// exceeding the slot cap is an error, and leaves the placer
+    /// partially restored.
+    pub fn restore_state(&mut self, rows: &[(u32, usize, u64)]) -> Result<(), String> {
         for &(raw, vms, hose_bits) in rows {
             let i = *self
                 .host_idx
                 .get(&raw)
-                .unwrap_or_else(|| panic!("placer snapshot names unknown host {raw}"));
-            assert!(
-                vms <= self.max_vms_per_host,
-                "placer snapshot puts {vms} VMs on host {raw} (cap {})",
-                self.max_vms_per_host
-            );
+                .ok_or_else(|| format!("placer snapshot names unknown host {raw}"))?;
+            if vms > self.max_vms_per_host {
+                return Err(format!(
+                    "placer snapshot puts {vms} VMs on host {raw} (cap {})",
+                    self.max_vms_per_host
+                ));
+            }
             self.vms[i] = vms;
             self.hose[i] = f64::from_bits(hose_bits);
         }
+        Ok(())
     }
 }
 
@@ -439,7 +446,7 @@ mod tests {
         p.place(&mut ledger, 2, 0.7e9).unwrap();
         let rows = p.dump_state();
         let mut q = Placer::new(&t.hosts, Policy::LoadSpread, 4);
-        q.restore_state(&rows);
+        q.restore_state(&rows).unwrap();
         for &h in &t.hosts {
             assert_eq!(q.vms_on(h), p.vms_on(h), "host {h}");
             assert_eq!(q.hose_on(h).to_bits(), p.hose_on(h).to_bits(), "host {h}");

@@ -29,7 +29,7 @@ use obs::{Category, DetHash, Event, ObsHandle, Snapshottable};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
-use topology::Topo;
+use topology::{NodeKind, Tier, Topo};
 
 /// One tenant as the service sees it.
 #[derive(Debug, Clone)]
@@ -106,9 +106,6 @@ pub struct FabricService {
     pub(crate) cfg: AdmissionCfg,
     pub(crate) topo: Arc<Topo>,
     pub(crate) ledger: Ledger,
-    /// Zero-commitment ledger over the current topology and cordon set,
-    /// cloned for audit shadow rebuilds.
-    pub(crate) baseline: Ledger,
     pub(crate) placer: Placer,
     pub(crate) tenants: Vec<SvcTenant>,
     /// Raw ids of cordoned nodes (hosts, ToRs, aggs, cores).
@@ -139,14 +136,12 @@ pub struct FabricService {
 impl FabricService {
     /// A fresh service over `topo`.
     pub fn new(topo: Arc<Topo>, cfg: AdmissionCfg) -> Self {
-        let baseline = Ledger::new(&topo, cfg.headroom);
-        let ledger = baseline.clone();
+        let ledger = Ledger::new(&topo, cfg.headroom);
         let placer = Placer::new(&topo.hosts, cfg.policy, cfg.max_vms_per_host);
         Self {
             cfg,
             topo,
             ledger,
-            baseline,
             placer,
             tenants: Vec::new(),
             cordoned: BTreeSet::new(),
@@ -478,7 +473,7 @@ impl FabricService {
     /// and match a shadow ledger rebuilt from tenant state.
     pub fn audit(&self) -> Result<(), String> {
         self.ledger.conservation()?;
-        let mut shadow = self.baseline.clone();
+        let mut shadow = self.ledger.cleared();
         for t in &self.tenants {
             if t.is_active() {
                 let hose = t.tokens_per_vm * self.cfg.bu_bps;
@@ -520,12 +515,13 @@ impl FabricService {
             }
         }
         let mut placer = Placer::new(&new_topo.hosts, self.cfg.policy, self.cfg.max_vms_per_host);
-        placer.restore_state(&self.placer.dump_state());
+        placer
+            .restore_state(&self.placer.dump_state())
+            .map_err(|e| format!("expand rejected: {e}"))?;
         apply_host_cordons(&new_topo, &self.cordoned, &mut placer);
         let old_topo = std::mem::replace(&mut self.topo, new_topo);
         match self.try_reseat() {
-            Ok((baseline, live)) => {
-                self.baseline = baseline;
+            Ok(live) => {
                 self.ledger = live;
                 self.placer = placer;
                 let (n_hosts, aux) = (self.topo.hosts.len() as u32, self.ledger.n_links() as u64);
@@ -801,42 +797,18 @@ impl FabricService {
     /// from what a restore re-derives. Every mutation of the set goes
     /// through a full reset-then-apply instead.
     fn sync_host_cordons(&mut self) {
-        for &h in &self.topo.hosts {
-            self.placer.set_cordoned(h, false);
-        }
+        self.placer.clear_cordons();
         apply_host_cordons(&self.topo, &self.cordoned, &mut self.placer);
     }
 
     /// What tier is raw node `node`?
     fn classify(&self, node: u32) -> Option<&'static str> {
-        let n = NodeId(node);
-        if self.topo.hosts.contains(&n) {
-            Some("host")
-        } else if self.topo.tors.contains(&n) {
-            Some("tor")
-        } else if self.topo.aggs.contains(&n) {
-            Some("agg")
-        } else if self.topo.cores.contains(&n) {
-            Some("core")
-        } else {
-            None
-        }
-    }
-
-    /// Hosts whose placements live behind `node`: the node itself for a
-    /// host, its attached hosts for a ToR, none for agg/core (their
-    /// share moves via the spread rebuild, not by migration).
-    fn hosts_behind(&self, node: u32, kind: &str) -> Vec<NodeId> {
-        match kind {
-            "host" => vec![NodeId(node)],
-            "tor" => self
-                .topo
-                .neighbors(NodeId(node))
-                .iter()
-                .map(|a| a.peer)
-                .filter(|p| self.topo.hosts.contains(p))
-                .collect(),
-            _ => Vec::new(),
+        match self.topo.kind(NodeId(node))? {
+            NodeKind::Host => Some("host"),
+            NodeKind::Switch(Tier::Tor) => Some("tor"),
+            NodeKind::Switch(Tier::Agg) => Some("agg"),
+            NodeKind::Switch(Tier::Core) => Some("core"),
+            NodeKind::Switch(Tier::Other) => None,
         }
     }
 
@@ -872,10 +844,7 @@ impl FabricService {
                     self.cordoned.remove(&node);
                 }
                 match self.try_reseat() {
-                    Ok((baseline, live)) => {
-                        self.baseline = baseline;
-                        self.ledger = live;
-                    }
+                    Ok(live) => self.ledger = live,
                     Err(e) => {
                         if on {
                             self.cordoned.remove(&node);
@@ -919,7 +888,7 @@ impl FabricService {
                 other => other,
             };
         }
-        let drained_hosts = self.hosts_behind(node, kind);
+        let drained_hosts: Vec<NodeId> = hosts_behind(&self.topo, NodeId(node)).collect();
         self.cordoned.insert(node);
         self.sync_host_cordons();
         // Migrate every VM off the drained hosts, tenant id then VM
@@ -993,12 +962,11 @@ impl FabricService {
         FabricReply::Drained { node, moved }
     }
 
-    /// Rebuild `(baseline, live)` ledgers for the current topology and
-    /// cordon set by re-committing every active tenant with admission
-    /// checks. Pure — the caller swaps the ledgers in only on `Ok`.
-    pub(crate) fn try_reseat(&self) -> Result<(Ledger, Ledger), String> {
-        let baseline = Ledger::new_excluding(&self.topo, self.cfg.headroom, &self.cordoned);
-        let mut live = baseline.clone();
+    /// Rebuild the live ledger for the current topology and cordon set
+    /// by re-committing every active tenant with admission checks.
+    /// Pure — the caller swaps the ledger in only on `Ok`.
+    pub(crate) fn try_reseat(&self) -> Result<Ledger, String> {
+        let mut live = Ledger::new_excluding(&self.topo, self.cfg.headroom, &self.cordoned);
         for (i, t) in self.tenants.iter().enumerate() {
             if !t.is_active() {
                 continue;
@@ -1016,7 +984,7 @@ impl FabricService {
                 live.commit(h, hose);
             }
         }
-        Ok((baseline, live))
+        Ok(live)
     }
 }
 
@@ -1044,19 +1012,31 @@ impl Snapshottable for FabricService {
     }
 }
 
+/// Hosts whose placements live behind `node`: the node itself for a
+/// host, its attached hosts for a ToR, none for agg/core (their share
+/// moves via the spread rebuild, not by migration) or unknown nodes.
+fn hosts_behind(topo: &Topo, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    let kind = topo.kind(node);
+    let own = (kind == Some(NodeKind::Host)).then_some(node);
+    let attached = if kind == Some(NodeKind::Switch(Tier::Tor)) {
+        topo.neighbors(node)
+    } else {
+        &[]
+    };
+    own.into_iter().chain(
+        attached
+            .iter()
+            .map(|a| a.peer)
+            .filter(|&p| topo.kind(p) == Some(NodeKind::Host)),
+    )
+}
+
 /// Re-derive per-host placer cordon flags from the cordon set: hosts
 /// cordoned directly, plus every host behind a cordoned ToR.
 pub(crate) fn apply_host_cordons(topo: &Topo, cordoned: &BTreeSet<u32>, placer: &mut Placer) {
     for &raw in cordoned {
-        let n = NodeId(raw);
-        if topo.hosts.contains(&n) {
-            placer.set_cordoned(n, true);
-        } else if topo.tors.contains(&n) {
-            for a in topo.neighbors(n) {
-                if topo.hosts.contains(&a.peer) {
-                    placer.set_cordoned(a.peer, true);
-                }
-            }
+        for h in hosts_behind(topo, NodeId(raw)) {
+            placer.set_cordoned(h, true);
         }
     }
 }

@@ -37,6 +37,12 @@
 //! canonical: `render(restore(s)) == s`, which is what the
 //! `SnapshotRoundTrip` invariant asserts online.
 //!
+//! Rendering writes every field straight into one pre-sized byte
+//! buffer (see `Out`), and restore reads each record with one byte cursor (see
+//! `Fields`). Restore treats the text as untrusted: every value a later
+//! call would panic on is checked first and turns into a labelled
+//! `Err`.
+//!
 //! What is *not* serialized: the topology (the restore caller provides
 //! an identically-built one — it is static config, not state), the
 //! departure/reclaim heaps (rebuilt from tenant records), and the obs
@@ -45,13 +51,12 @@
 use crate::ops::FabricOp;
 use crate::service::{apply_host_cordons, FabricService, SvcTenant};
 use fabric::{AbuseCfg, AdmissionCfg, Ledger, MisbehaviorLedger, Placer, Policy, TenantState};
-use netsim::Time;
+use netsim::{NodeId, Time};
 use obs::{DetHash, ObsHandle};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::Arc;
-use topology::Topo;
+use topology::{NodeKind, Topo};
 
 /// First line of every snapshot; bump the suffix on format changes.
 pub const HEADER: &str = "ufab-fabricd-snapshot v2";
@@ -60,114 +65,227 @@ pub const HEADER: &str = "ufab-fabricd-snapshot v2";
 /// (no `abusecfg`/`abuserow` records; the scorer restores as off).
 pub const HEADER_V1: &str = "ufab-fabricd-snapshot v1";
 
+/// Reserved bytes per tenant record beyond its name, host list and
+/// spans (a record's fixed fields run to about this much).
+const TENANT_FIXED_BYTES: usize = 96;
+
+/// No rendered tenant record is shorter (`tenant`, a name, 16 hex
+/// digits, a state of eight or more letters and twelve more fields), so
+/// a snapshot of `n` bytes holds at most `n / MIN_TENANT_BYTES` tenants
+/// — the bound restore reserves by, not a check.
+const MIN_TENANT_BYTES: usize = 64;
+
+/// Append `v` in decimal.
+fn push_dec(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Append `v` as 16 lowercase hex digits (`{:016x}`).
+fn push_hex(out: &mut Vec<u8>, v: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = [0u8; 16];
+    for (k, d) in buf.iter_mut().enumerate() {
+        *d = DIGITS[(v >> (60 - 4 * k)) as usize & 0xf];
+    }
+    out.extend_from_slice(&buf);
+}
+
+/// A snapshot being written: records of space-separated fields, as
+/// bytes (checked as UTF-8 once, at the end).
+struct Out(Vec<u8>);
+
+impl Out {
+    /// Start a record.
+    fn tag(&mut self, tag: &str) -> &mut Self {
+        self.0.extend_from_slice(tag.as_bytes());
+        self
+    }
+
+    /// ` <w>`.
+    fn word(&mut self, w: &str) -> &mut Self {
+        self.0.push(b' ');
+        self.0.extend_from_slice(w.as_bytes());
+        self
+    }
+
+    /// ` <v>` in decimal.
+    fn dec(&mut self, v: impl Into<u64>) -> &mut Self {
+        self.0.push(b' ');
+        push_dec(&mut self.0, v.into());
+        self
+    }
+
+    /// ` <v>` as 16 hex digits.
+    fn hex(&mut self, v: u64) -> &mut Self {
+        self.0.push(b' ');
+        push_hex(&mut self.0, v);
+        self
+    }
+
+    /// ` <v>` in decimal, or ` -`.
+    fn opt(&mut self, v: Option<u64>) -> &mut Self {
+        match v {
+            Some(v) => self.dec(v),
+            None => self.word("-"),
+        }
+    }
+
+    /// The items, `sep`-separated, each written by `item`.
+    fn join<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        sep: u8,
+        mut item: impl FnMut(&mut Vec<u8>, T),
+    ) -> &mut Self {
+        for (k, x) in items.into_iter().enumerate() {
+            if k > 0 {
+                self.0.push(sep);
+            }
+            item(&mut self.0, x);
+        }
+        self
+    }
+
+    /// ` <joined items>`, or ` -` when there are none.
+    fn list<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        sep: u8,
+        item: impl FnMut(&mut Vec<u8>, T),
+    ) -> &mut Self {
+        self.0.push(b' ');
+        let at = self.0.len();
+        self.join(items, sep, item);
+        if self.0.len() == at {
+            self.0.push(b'-');
+        }
+        self
+    }
+
+    /// End the record.
+    fn end(&mut self) {
+        self.0.push(b'\n');
+    }
+}
+
+/// Bytes to reserve for `s`'s snapshot: its tenant records plus one
+/// 17-byte ledger field per link, which make up nearly all of it.
+fn size_hint(s: &FabricService) -> usize {
+    let tenants: usize = s
+        .tenants
+        .iter()
+        .map(|t| {
+            TENANT_FIXED_BYTES + t.name.len() + 4 * t.hosts.len() + 24 * t.guaranteed_spans.len()
+        })
+        .sum();
+    let abuse = s.abuse.as_ref().map_or(0, |ab| 128 * ab.len());
+    1024 + tenants + abuse + 17 * s.ledger.n_links()
+}
+
 /// Serialize the complete service state.
 pub(crate) fn render(s: &FabricService) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{HEADER}");
+    let mut o = Out(Vec::with_capacity(size_hint(s)));
+    o.tag(HEADER).end();
     let c = &s.cfg;
-    let _ = writeln!(
-        out,
-        "cfg {:016x} {:016x} {} {} {} {}",
-        c.bu_bps.to_bits(),
-        c.headroom.to_bits(),
-        c.decision_gap,
-        c.max_vms_per_host,
-        c.policy.label(),
-        c.reclaim_grace
-    );
-    let _ = writeln!(
-        out,
-        "clock {} {} {} {} {:016x}",
-        s.clock,
-        s.last_submit,
-        s.next_slot,
-        s.next_seq,
-        s.digest.digest()
-    );
-    let _ = writeln!(
-        out,
-        "counters {} {} {} {}",
-        s.n_rejected, s.n_resized, s.n_resize_denied, s.n_drained_vms
-    );
-    let _ = writeln!(
-        out,
-        "cordon {}",
-        dash_join(s.cordoned.iter().map(|x| x.to_string()))
-    );
+    o.tag("cfg")
+        .hex(c.bu_bps.to_bits())
+        .hex(c.headroom.to_bits())
+        .dec(c.decision_gap)
+        .dec(c.max_vms_per_host as u64)
+        .word(c.policy.label())
+        .dec(c.reclaim_grace)
+        .end();
+    o.tag("clock")
+        .dec(s.clock)
+        .dec(s.last_submit)
+        .dec(s.next_slot)
+        .dec(s.next_seq)
+        .hex(s.digest.digest())
+        .end();
+    o.tag("counters")
+        .dec(s.n_rejected)
+        .dec(s.n_resized)
+        .dec(s.n_resize_denied)
+        .dec(s.n_drained_vms)
+        .end();
+    o.tag("cordon")
+        .list(&s.cordoned, b',', |b, &x| push_dec(b, x.into()))
+        .end();
     for t in &s.tenants {
-        let _ = writeln!(
-            out,
-            "tenant {} {:016x} {} {} {} {} {} {} {} {} {} hosts {} spans {}",
-            t.name,
-            t.tokens_per_vm.to_bits(),
-            t.state.label(),
-            t.admitted_at,
-            t.depart_at,
-            opt(t.departed_at),
-            t.qualifying_since,
-            opt(t.guaranteed_at),
-            opt(t.ttg_ns),
-            t.resizes,
-            t.migrations,
-            dash_join(t.hosts.iter().map(|h| h.raw().to_string())),
-            dash_join(t.guaranteed_spans.iter().map(|(a, b)| format!("{a}:{b}")))
-        );
+        o.tag("tenant")
+            .word(&t.name)
+            .hex(t.tokens_per_vm.to_bits())
+            .word(t.state.label())
+            .dec(t.admitted_at)
+            .dec(t.depart_at)
+            .opt(t.departed_at)
+            .dec(t.qualifying_since)
+            .opt(t.guaranteed_at)
+            .opt(t.ttg_ns)
+            .dec(t.resizes)
+            .dec(t.migrations)
+            .word("hosts")
+            .list(&t.hosts, b',', |b, h| push_dec(b, h.raw().into()))
+            .word("spans")
+            .list(&t.guaranteed_spans, b',', |b, &(x, y)| {
+                push_dec(b, x);
+                b.push(b':');
+                push_dec(b, y);
+            })
+            .end();
     }
     for (t, seq, op) in &s.queue {
-        let _ = writeln!(out, "queue {t} {seq} {}", op.encode());
+        o.tag("queue").dec(*t).dec(*seq).word(&op.encode()).end();
     }
-    let _ = writeln!(
-        out,
-        "ledger {}",
-        s.ledger
-            .committed_bits()
-            .iter()
-            .map(|b| format!("{b:016x}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    let rows: Vec<String> = s
-        .placer
-        .dump_state()
-        .iter()
-        .map(|(raw, vms, bits)| format!("{raw}:{vms}:{bits:016x}"))
-        .collect();
-    let _ = writeln!(
-        out,
-        "placer {}",
-        if rows.is_empty() {
-            "-".to_string()
-        } else {
-            rows.join(" ")
-        }
-    );
+    o.tag("ledger ")
+        .join(s.ledger.links(), b' ', |b, l| {
+            push_hex(b, l.committed_bps.to_bits())
+        })
+        .end();
+    o.tag("placer")
+        .list(s.placer.dump_state(), b' ', |b, (raw, vms, bits)| {
+            push_dec(b, raw.into());
+            b.push(b':');
+            push_dec(b, vms as u64);
+            b.push(b':');
+            push_hex(b, bits);
+        })
+        .end();
     if let Some(ab) = &s.abuse {
         let c = ab.cfg();
-        let _ = writeln!(
-            out,
-            "abusecfg {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {} {:016x} {} {}",
-            c.w_policed.to_bits(),
-            c.w_probe.to_bits(),
-            c.w_unsol.to_bits(),
-            c.decay.to_bits(),
-            c.enter_score.to_bits(),
-            c.exit_score.to_bits(),
-            c.sustain_ticks,
-            c.penalty_fraction.to_bits(),
-            c.quarantine_hold,
-            c.probation
-        );
+        o.tag("abusecfg")
+            .hex(c.w_policed.to_bits())
+            .hex(c.w_probe.to_bits())
+            .hex(c.w_unsol.to_bits())
+            .hex(c.decay.to_bits())
+            .hex(c.enter_score.to_bits())
+            .hex(c.exit_score.to_bits())
+            .dec(c.sustain_ticks)
+            .hex(c.penalty_fraction.to_bits())
+            .dec(c.quarantine_hold)
+            .dec(c.probation)
+            .end();
         for i in 0..ab.len() {
             let w = ab.dump_row(i);
-            let _ = writeln!(
-                out,
-                "abuserow {i} {:016x} {} {} {} {} {} {} {} {}",
-                w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
-            );
+            o.tag("abuserow").dec(i as u64).hex(w[0]);
+            for &x in &w[1..] {
+                o.dec(x);
+            }
+            o.end();
         }
     }
-    out.push_str("end\n");
-    out
+    o.tag("end").end();
+    String::from_utf8(o.0).expect("every field is a str or ASCII digits")
 }
 
 impl FabricService {
@@ -197,42 +315,47 @@ impl FabricService {
             ));
         }
 
-        let cfg_line = expect(&mut lines, "cfg")?;
-        let mut f = cfg_line.split_whitespace();
+        let mut f = expect(&mut lines, "cfg")?;
         let cfg = AdmissionCfg {
-            bu_bps: f64::from_bits(hex(&mut f, "cfg bu_bps")?),
-            headroom: f64::from_bits(hex(&mut f, "cfg headroom")?),
-            decision_gap: int(&mut f, "cfg decision_gap")?,
-            max_vms_per_host: int(&mut f, "cfg max_vms_per_host")?,
-            policy: match f.next().ok_or("cfg: missing policy")? {
+            bu_bps: f64::from_bits(f.hex("cfg bu_bps")?),
+            headroom: f64::from_bits(f.hex("cfg headroom")?),
+            decision_gap: f.dec("cfg decision_gap")?,
+            max_vms_per_host: f.dec("cfg max_vms_per_host")?,
+            policy: match f.word("cfg policy")? {
                 "first_fit" => Policy::FirstFit,
                 "load_spread" => Policy::LoadSpread,
                 p => return Err(format!("unknown placement policy {p:?}")),
             },
-            reclaim_grace: int(&mut f, "cfg reclaim_grace")?,
+            reclaim_grace: f.dec("cfg reclaim_grace")?,
         };
+        if !(cfg.headroom > 0.0 && cfg.headroom <= 1.0) {
+            return Err(format!("cfg headroom {} is outside (0, 1]", cfg.headroom));
+        }
+        if cfg.max_vms_per_host == 0 {
+            return Err("cfg max_vms_per_host is 0".into());
+        }
 
-        let clock_line = expect(&mut lines, "clock")?;
-        let mut f = clock_line.split_whitespace();
-        let clock: Time = int(&mut f, "clock")?;
-        let last_submit: Time = int(&mut f, "clock last_submit")?;
-        let next_slot: Time = int(&mut f, "clock next_slot")?;
-        let next_seq: u64 = int(&mut f, "clock next_seq")?;
-        let digest = DetHash::resume(hex(&mut f, "clock digest")?);
+        let mut f = expect(&mut lines, "clock")?;
+        let clock: Time = f.dec("clock")?;
+        let last_submit: Time = f.dec("clock last_submit")?;
+        let next_slot: Time = f.dec("clock next_slot")?;
+        let next_seq: u64 = f.dec("clock next_seq")?;
+        let digest = DetHash::resume(f.hex("clock digest")?);
 
-        let counters_line = expect(&mut lines, "counters")?;
-        let mut f = counters_line.split_whitespace();
-        let n_rejected = int(&mut f, "counters n_rejected")?;
-        let n_resized = int(&mut f, "counters n_resized")?;
-        let n_resize_denied = int(&mut f, "counters n_resize_denied")?;
-        let n_drained_vms = int(&mut f, "counters n_drained_vms")?;
+        let mut f = expect(&mut lines, "counters")?;
+        let n_rejected = f.dec("counters n_rejected")?;
+        let n_resized = f.dec("counters n_resized")?;
+        let n_resize_denied = f.dec("counters n_resize_denied")?;
+        let n_drained_vms = f.dec("counters n_drained_vms")?;
 
-        let cordon_line = expect(&mut lines, "cordon")?;
-        let cordoned: BTreeSet<u32> = dash_split(cordon_line.trim(), ',')?.into_iter().collect();
+        let cordoned: BTreeSet<u32> =
+            expect(&mut lines, "cordon")?.list("cordon", b',', |f| f.digits("cordon entry"))?;
 
         // Variable-count sections: tenants, then queued ops, then the
-        // fixed tail (ledger, placer, end).
-        let mut tenants: Vec<SvcTenant> = Vec::new();
+        // fixed tail (ledger, placer, end). Every tenant came from an
+        // admit op, and no record is shorter than `MIN_TENANT_BYTES`.
+        let mut tenants: Vec<SvcTenant> =
+            Vec::with_capacity((next_seq as usize).min(snap.len() / MIN_TENANT_BYTES));
         let mut queue: VecDeque<(Time, u64, FabricOp)> = VecDeque::new();
         let mut ledger_bits: Option<Vec<u64>> = None;
         let mut placer_rows: Option<Vec<(u32, usize, u64)>> = None;
@@ -240,66 +363,51 @@ impl FabricService {
         let mut abuse_rows: Vec<(usize, [u64; 9])> = Vec::new();
         let mut saw_end = false;
         for line in lines {
-            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
+            let (tag, rest) = line.split_at(line.find(' ').unwrap_or(line.len()));
+            let mut f = Fields::new(rest);
             match tag {
-                "tenant" => tenants.push(parse_tenant(rest)?),
+                "tenant" => tenants.push(parse_tenant(&mut f)?),
                 "queue" => {
-                    let mut f = rest.splitn(3, ' ');
-                    let t: Time = num(f.next().ok_or("queue: missing time")?, "queue time")?;
-                    let seq: u64 = num(f.next().ok_or("queue: missing seq")?, "queue seq")?;
-                    let op = FabricOp::decode(f.next().ok_or("queue: missing op")?)?;
-                    queue.push_back((t, seq, op));
+                    let t: Time = f.dec("queue time")?;
+                    let seq: u64 = f.dec("queue seq")?;
+                    queue.push_back((t, seq, FabricOp::decode(f.rest("queue op")?)?));
                 }
                 "ledger" => {
-                    ledger_bits = Some(
-                        rest.split_whitespace()
-                            .map(|b| {
-                                u64::from_str_radix(b, 16)
-                                    .map_err(|_| format!("bad ledger bits {b:?}"))
-                            })
-                            .collect::<Result<_, String>>()?,
-                    );
+                    let mut bits = Vec::with_capacity(rest.len() / 17);
+                    while f.more() {
+                        bits.push(f.hex("ledger bits")?);
+                    }
+                    ledger_bits = Some(bits);
                 }
                 "placer" => {
-                    let mut rows = Vec::new();
-                    if rest.trim() != "-" {
-                        for tok in rest.split_whitespace() {
-                            let p: Vec<&str> = tok.split(':').collect();
-                            if p.len() != 3 {
-                                return Err(format!("bad placer row {tok:?}"));
-                            }
-                            rows.push((
-                                num(p[0], "placer host")?,
-                                num(p[1], "placer vms")?,
-                                u64::from_str_radix(p[2], 16)
-                                    .map_err(|_| format!("bad placer bits {:?}", p[2]))?,
-                            ));
-                        }
-                    }
-                    placer_rows = Some(rows);
+                    placer_rows = Some(f.list("placer rows", b' ', |f| {
+                        let host = f.digits("placer host")?;
+                        f.expect_byte(b':', "placer row")?;
+                        let vms = f.digits("placer vms")?;
+                        f.expect_byte(b':', "placer row")?;
+                        Ok((host, vms, f.hex_digits("placer bits")?))
+                    })?);
                 }
                 "abusecfg" => {
-                    let mut f = rest.split_whitespace();
                     abuse_cfg = Some(AbuseCfg {
-                        w_policed: f64::from_bits(hex(&mut f, "abusecfg w_policed")?),
-                        w_probe: f64::from_bits(hex(&mut f, "abusecfg w_probe")?),
-                        w_unsol: f64::from_bits(hex(&mut f, "abusecfg w_unsol")?),
-                        decay: f64::from_bits(hex(&mut f, "abusecfg decay")?),
-                        enter_score: f64::from_bits(hex(&mut f, "abusecfg enter")?),
-                        exit_score: f64::from_bits(hex(&mut f, "abusecfg exit")?),
-                        sustain_ticks: int(&mut f, "abusecfg sustain")?,
-                        penalty_fraction: f64::from_bits(hex(&mut f, "abusecfg penalty")?),
-                        quarantine_hold: int(&mut f, "abusecfg hold")?,
-                        probation: int(&mut f, "abusecfg probation")?,
+                        w_policed: f64::from_bits(f.hex("abusecfg w_policed")?),
+                        w_probe: f64::from_bits(f.hex("abusecfg w_probe")?),
+                        w_unsol: f64::from_bits(f.hex("abusecfg w_unsol")?),
+                        decay: f64::from_bits(f.hex("abusecfg decay")?),
+                        enter_score: f64::from_bits(f.hex("abusecfg enter")?),
+                        exit_score: f64::from_bits(f.hex("abusecfg exit")?),
+                        sustain_ticks: f.dec("abusecfg sustain")?,
+                        penalty_fraction: f64::from_bits(f.hex("abusecfg penalty")?),
+                        quarantine_hold: f.dec("abusecfg hold")?,
+                        probation: f.dec("abusecfg probation")?,
                     });
                 }
                 "abuserow" => {
-                    let mut f = rest.split_whitespace();
-                    let i: usize = int(&mut f, "abuserow id")?;
+                    let i: usize = f.dec("abuserow id")?;
                     let mut w = [0u64; 9];
-                    w[0] = hex(&mut f, "abuserow score")?;
+                    w[0] = f.hex("abuserow score")?;
                     for slot in w.iter_mut().skip(1) {
-                        *slot = int(&mut f, "abuserow word")?;
+                        *slot = f.dec("abuserow word")?;
                     }
                     abuse_rows.push((i, w));
                 }
@@ -317,6 +425,7 @@ impl FabricService {
         let placer_rows = placer_rows.ok_or("snapshot missing placer record")?;
         let abuse = match abuse_cfg {
             Some(c) => {
+                c.validate().map_err(|e| format!("abusecfg: {e}"))?;
                 let mut ab = MisbehaviorLedger::new(c, tenants.len());
                 for &(i, w) in &abuse_rows {
                     if i >= tenants.len() {
@@ -330,30 +439,40 @@ impl FabricService {
             None => return Err("abuserow records without an abusecfg record".into()),
         };
 
-        let baseline = Ledger::new_excluding(&topo, cfg.headroom, &cordoned);
-        if ledger_bits.len() != baseline.n_links() {
+        let mut ledger = Ledger::new_excluding(&topo, cfg.headroom, &cordoned);
+        if ledger_bits.len() != ledger.n_links() {
             return Err(format!(
                 "snapshot ledger has {} links, topology has {} — wrong topology?",
                 ledger_bits.len(),
-                baseline.n_links()
+                ledger.n_links()
             ));
         }
-        let mut ledger = baseline.clone();
         ledger.set_committed_bits(&ledger_bits);
         let mut placer = Placer::new(&topo.hosts, cfg.policy, cfg.max_vms_per_host);
-        placer.restore_state(&placer_rows);
+        placer.restore_state(&placer_rows)?;
         apply_host_cordons(&topo, &cordoned, &mut placer);
 
         let mut departs: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         let mut reclaims: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         for (i, t) in tenants.iter().enumerate() {
+            if let Some(h) = t
+                .hosts
+                .iter()
+                .find(|&&h| topo.kind(h) != Some(NodeKind::Host))
+            {
+                return Err(format!(
+                    "tenant {i} has a VM on node {h}, which is not a host"
+                ));
+            }
             if t.is_live() {
                 departs.push(Reverse((t.depart_at, i as u32)));
             } else if t.state == TenantState::Departing {
-                let dep = t
+                let due = t
                     .departed_at
-                    .ok_or_else(|| format!("departing tenant {i} has no departed_at"))?;
-                reclaims.push(Reverse((dep + cfg.reclaim_grace, i as u32)));
+                    .ok_or_else(|| format!("departing tenant {i} has no departed_at"))?
+                    .checked_add(cfg.reclaim_grace)
+                    .ok_or_else(|| format!("tenant {i} reclaim time overflows"))?;
+                reclaims.push(Reverse((due, i as u32)));
             }
         }
 
@@ -361,7 +480,6 @@ impl FabricService {
             cfg,
             topo,
             ledger,
-            baseline,
             placer,
             tenants,
             cordoned,
@@ -386,11 +504,10 @@ impl FabricService {
     }
 }
 
-fn parse_tenant(rest: &str) -> Result<SvcTenant, String> {
-    let mut f = rest.split_whitespace();
-    let name = f.next().ok_or("tenant: missing name")?.to_string();
-    let tokens_per_vm = f64::from_bits(hex(&mut f, "tenant tokens")?);
-    let state = match f.next().ok_or("tenant: missing state")? {
+fn parse_tenant(f: &mut Fields) -> Result<SvcTenant, String> {
+    let name = f.word("tenant name")?.to_string();
+    let tokens_per_vm = f64::from_bits(f.hex("tenant tokens")?);
+    let state = match f.word("tenant state")? {
         "requested" => TenantState::Requested,
         "admitted" => TenantState::Admitted,
         "qualifying" => TenantState::Qualifying,
@@ -403,32 +520,28 @@ fn parse_tenant(rest: &str) -> Result<SvcTenant, String> {
         "rejected" => TenantState::Rejected,
         s => return Err(format!("unknown tenant state {s:?}")),
     };
-    let admitted_at = int(&mut f, "tenant admitted_at")?;
-    let depart_at = int(&mut f, "tenant depart_at")?;
-    let departed_at = opt_int(&mut f, "tenant departed_at")?;
-    let qualifying_since = int(&mut f, "tenant qualifying_since")?;
-    let guaranteed_at = opt_int(&mut f, "tenant guaranteed_at")?;
-    let ttg_ns = opt_int(&mut f, "tenant ttg")?;
-    let resizes = int(&mut f, "tenant resizes")?;
-    let migrations = int(&mut f, "tenant migrations")?;
-    if f.next() != Some("hosts") {
+    let admitted_at = f.dec("tenant admitted_at")?;
+    let depart_at = f.dec("tenant depart_at")?;
+    let departed_at = f.opt_dec("tenant departed_at")?;
+    let qualifying_since = f.dec("tenant qualifying_since")?;
+    let guaranteed_at = f.opt_dec("tenant guaranteed_at")?;
+    let ttg_ns = f.opt_dec("tenant ttg")?;
+    let resizes = f.dec("tenant resizes")?;
+    let migrations = f.dec("tenant migrations")?;
+    if f.word("tenant hosts marker")? != "hosts" {
         return Err("tenant: missing hosts marker".into());
     }
-    let hosts = dash_split(f.next().ok_or("tenant: missing hosts")?, ',')?
-        .into_iter()
-        .map(netsim::NodeId)
-        .collect();
-    if f.next() != Some("spans") {
+    let hosts = f.list("tenant hosts", b',', |f| {
+        f.digits("tenant host").map(NodeId)
+    })?;
+    if f.word("tenant spans marker")? != "spans" {
         return Err("tenant: missing spans marker".into());
     }
-    let spans_tok = f.next().ok_or("tenant: missing spans")?;
-    let mut guaranteed_spans = Vec::new();
-    if spans_tok != "-" {
-        for s in spans_tok.split(',') {
-            let (a, b) = s.split_once(':').ok_or_else(|| format!("bad span {s:?}"))?;
-            guaranteed_spans.push((num(a, "span start")?, num(b, "span end")?));
-        }
-    }
+    let guaranteed_spans = f.list("tenant spans", b',', |f| {
+        let a = f.digits("span start")?;
+        f.expect_byte(b':', "span")?;
+        Ok((a, f.digits("span end")?))
+    })?;
     Ok(SvcTenant {
         name,
         tokens_per_vm,
@@ -446,58 +559,171 @@ fn parse_tenant(rest: &str) -> Result<SvcTenant, String> {
     })
 }
 
-fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "-".into())
+/// The fields of one record after its tag, parsed straight from the
+/// bytes: every field follows exactly one space, as [`render`] writes
+/// them, and numbers are plain digits (no sign). Errors name the field.
+/// The cursor only ever stops next to an ASCII byte, so `at` is always
+/// a char boundary of `s`.
+struct Fields<'a> {
+    s: &'a str,
+    at: usize,
 }
 
-fn dash_join(items: impl Iterator<Item = String>) -> String {
-    let v: Vec<String> = items.collect();
-    if v.is_empty() {
-        "-".into()
-    } else {
-        v.join(",")
+impl<'a> Fields<'a> {
+    fn new(s: &'a str) -> Self {
+        Self { s, at: 0 }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.at).copied()
+    }
+
+    /// Does a number end here? Only a separator or the record's end
+    /// may follow one.
+    fn delimited(&self) -> bool {
+        matches!(self.peek(), None | Some(b' ' | b',' | b':'))
+    }
+
+    /// Is there another field?
+    fn more(&self) -> bool {
+        self.peek() == Some(b' ') && self.at + 1 < self.s.len()
+    }
+
+    fn expect_byte(&mut self, b: u8, what: &str) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.at += 1;
+            Ok(())
+        } else {
+            Err(format!("bad {what} {:?}", self.token(self.at)))
+        }
+    }
+
+    /// Step over the space in front of the next field.
+    fn sep(&mut self, what: &str) -> Result<(), String> {
+        self.expect_byte(b' ', what)
+            .map_err(|_| format!("missing {what}"))
+    }
+
+    /// The field text from `at` on, for error messages.
+    fn token(&self, at: usize) -> &'a str {
+        let rest = &self.s[at..];
+        rest.split(' ').next().unwrap_or(rest)
+    }
+
+    /// The next field, verbatim.
+    fn word(&mut self, what: &str) -> Result<&'a str, String> {
+        self.sep(what)?;
+        let w = self.token(self.at);
+        self.at += w.len();
+        if w.is_empty() {
+            return Err(format!("missing {what}"));
+        }
+        Ok(w)
+    }
+
+    /// Everything after the next space (a queued op's wire form).
+    fn rest(&mut self, what: &str) -> Result<&'a str, String> {
+        self.sep(what)?;
+        let rest = &self.s[self.at..];
+        self.at = self.s.len();
+        Ok(rest)
+    }
+
+    /// A decimal number at the cursor, no space in front.
+    fn digits<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, String> {
+        let start = self.at;
+        let mut v: Option<u64> = Some(0);
+        while let Some(d) = self
+            .peek()
+            .map(|c| c.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            v = v.and_then(|v| v.checked_mul(10)?.checked_add(d as u64));
+            self.at += 1;
+        }
+        let bad = || format!("bad {what} {:?}", self.token(start));
+        if self.at == start || !self.delimited() {
+            return Err(bad());
+        }
+        v.and_then(|v| T::try_from(v).ok()).ok_or_else(bad)
+    }
+
+    /// ` <decimal>`.
+    fn dec<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, String> {
+        self.sep(what)?;
+        self.digits(what)
+    }
+
+    /// ` <decimal>` or ` -`.
+    fn opt_dec<T: TryFrom<u64>>(&mut self, what: &str) -> Result<Option<T>, String> {
+        self.sep(what)?;
+        if self.peek() == Some(b'-') {
+            self.at += 1;
+            return Ok(None);
+        }
+        self.digits(what).map(Some)
+    }
+
+    /// Up to 16 hex digits at the cursor, no space in front.
+    fn hex_digits(&mut self, what: &str) -> Result<u64, String> {
+        let start = self.at;
+        let mut v = 0u64;
+        while let Some(d) = self.peek().and_then(|c| (c as char).to_digit(16)) {
+            if self.at - start == 16 {
+                return Err(format!("bad {what} {:?}", self.token(start)));
+            }
+            v = v << 4 | d as u64;
+            self.at += 1;
+        }
+        if self.at == start || !self.delimited() {
+            return Err(format!("bad {what} {:?}", self.token(start)));
+        }
+        Ok(v)
+    }
+
+    /// ` <hex>`.
+    fn hex(&mut self, what: &str) -> Result<u64, String> {
+        self.sep(what)?;
+        self.hex_digits(what)
+    }
+
+    /// ` -`, or ` <item><sep><item>...` with each item parsed by `item`.
+    fn list<T, C: FromIterator<T>>(
+        &mut self,
+        what: &str,
+        sep: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<C, String> {
+        self.sep(what)?;
+        if self.peek() == Some(b'-') {
+            self.at += 1;
+            return Ok(C::from_iter(std::iter::empty()));
+        }
+        // One item, then another for as long as a separator follows.
+        let mut more = true;
+        std::iter::from_fn(|| {
+            more.then(|| {
+                let x = item(self);
+                more = self.peek() == Some(sep);
+                if more {
+                    self.at += 1;
+                }
+                x
+            })
+        })
+        .collect()
     }
 }
 
-fn dash_split<T: std::str::FromStr>(s: &str, sep: char) -> Result<Vec<T>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(sep).map(|x| num(x, "list entry")).collect()
-}
-
-fn expect<'a>(lines: &mut std::str::Lines<'a>, tag: &str) -> Result<&'a str, String> {
+/// The next line, which must be a `tag` record; its fields.
+fn expect<'a>(lines: &mut std::str::Lines<'a>, tag: &str) -> Result<Fields<'a>, String> {
     let line = lines
         .next()
         .ok_or_else(|| format!("snapshot truncated before {tag} record"))?;
-    line.strip_prefix(tag)
-        .map(str::trim_start)
-        .ok_or_else(|| format!("expected {tag} record, got {line:?}"))
-}
-
-fn num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
-    tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
-}
-
-fn int<T: std::str::FromStr>(f: &mut std::str::SplitWhitespace, what: &str) -> Result<T, String> {
-    num(f.next().ok_or_else(|| format!("missing {what}"))?, what)
-}
-
-fn opt_int<T: std::str::FromStr>(
-    f: &mut std::str::SplitWhitespace,
-    what: &str,
-) -> Result<Option<T>, String> {
-    let tok = f.next().ok_or_else(|| format!("missing {what}"))?;
-    if tok == "-" {
-        Ok(None)
-    } else {
-        num(tok, what).map(Some)
+    match line.strip_prefix(tag) {
+        Some(rest) if rest.is_empty() || rest.starts_with(' ') => Ok(Fields::new(rest)),
+        _ => Err(format!("expected {tag} record, got {line:?}")),
     }
-}
-
-fn hex(f: &mut std::str::SplitWhitespace, what: &str) -> Result<u64, String> {
-    let tok = f.next().ok_or_else(|| format!("missing {what}"))?;
-    u64::from_str_radix(tok, 16).map_err(|_| format!("bad {what} {tok:?}"))
 }
 
 #[cfg(test)]
@@ -550,6 +776,28 @@ mod tests {
                              // Leave one op pending beyond the current clock.
         s.submit(2 * MS, admit("late", 1, 1.0, MS));
         s
+    }
+
+    #[test]
+    fn field_writers_match_format() {
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u32::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let (mut d, mut h) = (Vec::new(), Vec::new());
+            push_dec(&mut d, v);
+            push_hex(&mut h, v);
+            assert_eq!(d, v.to_string().as_bytes());
+            assert_eq!(h, format!("{v:016x}").as_bytes());
+        }
     }
 
     #[test]
@@ -684,6 +932,81 @@ mod tests {
         r.audit().unwrap();
     }
 
+    /// `snap` with whitespace field `k` (0 is the tag) of the first
+    /// record matching `pick` replaced by `v`.
+    fn with_field(snap: &str, pick: impl Fn(&str) -> bool, k: usize, v: &str) -> String {
+        let mut done = false;
+        let mut out = String::new();
+        for line in snap.lines() {
+            if !done && pick(line) {
+                done = true;
+                let mut f: Vec<&str> = line.split(' ').collect();
+                f[k] = v;
+                out.push_str(&f.join(" "));
+            } else {
+                out.push_str(line);
+            }
+            out.push('\n');
+        }
+        assert!(done, "no record to mutate");
+        out
+    }
+
+    /// Each value that a later call inside restore would panic on is
+    /// refused up front with a reason.
+    #[test]
+    fn values_that_would_panic_are_refused_with_reasons() {
+        let (s, _) = quarantined_service();
+        let snap = s.snapshot();
+        let host = s.topo.hosts[0].raw();
+        let not_host = s.topo.cores[0].raw().to_string();
+        let over_cap = format!("{host}:{}:0000000000000000", s.cfg.max_vms_per_host + 1);
+        let cases: [(String, &str); 7] = [
+            (
+                with_field(&snap, |l| l.starts_with("cfg "), 2, "0000000000000000"),
+                "headroom",
+            ),
+            (
+                with_field(&snap, |l| l.starts_with("cfg "), 4, "0"),
+                "max_vms_per_host",
+            ),
+            (
+                with_field(
+                    &snap,
+                    |l| l.starts_with("placer "),
+                    1,
+                    "9999:1:0000000000000000",
+                ),
+                "unknown host",
+            ),
+            (
+                with_field(&snap, |l| l.starts_with("placer "), 1, &over_cap),
+                "cap",
+            ),
+            (
+                with_field(&snap, |l| l.starts_with("tenant "), 13, &not_host),
+                "not a host",
+            ),
+            (
+                with_field(
+                    &snap,
+                    |l| l.contains(" departing "),
+                    6,
+                    &u64::MAX.to_string(),
+                ),
+                "overflows",
+            ),
+            (
+                with_field(&snap, |l| l.starts_with("abusecfg "), 4, "3ff0000000000000"),
+                "decay",
+            ),
+        ];
+        for (bad, label) in cases {
+            let e = FabricService::restore(s.topo.clone(), &bad).err().unwrap();
+            assert!(e.contains(label), "want {label:?} in {e:?}");
+        }
+    }
+
     #[test]
     fn bad_snapshots_are_rejected_with_reasons() {
         let s = busy_service();
@@ -711,5 +1034,12 @@ mod tests {
         ));
         let e = FabricService::restore(small, &snap).err().unwrap();
         assert!(e.contains("wrong topology"), "{e}");
+
+        // Text glued to a record's last number is not ignored.
+        let glued = with_field(&snap, |l| l.starts_with("cfg "), 6, "1000000x");
+        let e = FabricService::restore(s.topo.clone(), &glued)
+            .err()
+            .unwrap();
+        assert!(e.contains("reclaim_grace"), "{e}");
     }
 }

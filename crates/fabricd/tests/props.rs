@@ -1,13 +1,13 @@
 //! Property-based tests for the control-plane wire format and the
 //! snapshot/restore path.
 
-use fabric::AdmissionCfg;
+use fabric::{AbuseCfg, AdmissionCfg, TenantState};
 use fabricd::{FabricOp, FabricReply, FabricService};
 use netsim::builder::LinkSpec;
 use netsim::{MS, US};
 use proptest::prelude::*;
-use std::sync::Arc;
-use topology::{leaf_spine, Topo};
+use std::sync::{Arc, OnceLock};
+use topology::{leaf_spine, three_tier, ThreeTierCfg, Topo};
 
 fn topo() -> Arc<Topo> {
     Arc::new(leaf_spine(
@@ -152,5 +152,146 @@ proptest! {
         prop_assert_eq!(back.digest(), s.digest());
         back.audit().unwrap();
         s.audit().unwrap();
+    }
+}
+
+/// A valid v2 snapshot with every record kind in it: tenants in several
+/// states (one quarantined, some departed), a cordoned core and a
+/// drained host, a queued op and the scorer's rows — over a small
+/// three-tier tree, so agg and core ids are in play.
+fn busy_snapshot() -> &'static (Arc<Topo>, String) {
+    static SNAP: OnceLock<(Arc<Topo>, String)> = OnceLock::new();
+    SNAP.get_or_init(|| {
+        let t = Arc::new(three_tier(ThreeTierCfg {
+            pods: 2,
+            tors_per_pod: 2,
+            hosts_per_tor: 2,
+            aggs_per_pod: 2,
+            cores: 4,
+            ..ThreeTierCfg::default()
+        }));
+        let mut s = FabricService::new(t.clone(), AdmissionCfg::default());
+        s.enable_abuse(AbuseCfg {
+            sustain_ticks: 2,
+            quarantine_hold: 50 * MS,
+            ..AbuseCfg::default()
+        });
+        for k in 0..8u64 {
+            s.submit(
+                k * 20 * US,
+                FabricOp::Admit {
+                    name: format!("m{k}"),
+                    n_vms: 1 + k as usize % 3,
+                    tokens_per_vm: 1.0 + k as f64 * 0.5,
+                    lifetime: (1 + k % 4) * MS,
+                },
+            );
+        }
+        s.submit(
+            200 * US,
+            FabricOp::Cordon {
+                node: t.cores[0].raw(),
+            },
+        );
+        s.submit(
+            210 * US,
+            FabricOp::Resize {
+                tenant: 1,
+                new_tokens_per_vm: 2.5,
+            },
+        );
+        s.submit(
+            220 * US,
+            FabricOp::Drain {
+                node: t.hosts[0].raw(),
+            },
+        );
+        s.advance(300 * US);
+        for (id, _) in s.qualifying() {
+            s.note_qualified(id, 300 * US);
+        }
+        let mut now = 300 * US;
+        while s.tenants()[3].state != TenantState::Quarantined {
+            s.note_enforcement(3, 3, 1, 0);
+            s.abuse_tick(now);
+            now += 50 * US;
+            assert!(now < MS, "tenant 3 never quarantined");
+        }
+        s.advance(2500 * US);
+        s.submit(10 * MS, FabricOp::Depart { tenant: 7 });
+        let snap = s.snapshot();
+        for tag in [
+            "departing ",
+            "reclaimed ",
+            "quarantined ",
+            "\nqueue ",
+            "\nabuserow ",
+        ] {
+            assert!(snap.contains(tag), "fixture lacks {tag:?}");
+        }
+        (t, snap)
+    })
+}
+
+/// Replace the `pick`-th token of `snap` (maximal runs between spaces,
+/// newlines, commas and colons) by a value chosen by `how`: boundary
+/// numbers, float bit patterns, small node ids, a token from elsewhere
+/// in the snapshot, garbage, or nothing at all.
+fn mutate(snap: &str, pick: usize, how: usize, v: u64) -> String {
+    let is_sep = |c: char| matches!(c, ' ' | '\n' | ',' | ':');
+    let mut tokens = Vec::new();
+    let mut start = None;
+    for (i, c) in snap.char_indices() {
+        match (is_sep(c), start) {
+            (false, None) => start = Some(i),
+            (true, Some(s)) => {
+                tokens.push((s, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    let (a, b) = tokens[pick % tokens.len()];
+    let (c, d) = tokens[v as usize % tokens.len()];
+    let repl = match how % 16 {
+        0 => "0".to_string(),
+        1 => "1".to_string(),
+        2 => "-".to_string(),
+        3 => u64::MAX.to_string(),
+        4 => u32::MAX.to_string(),
+        5 => "ffffffffffffffff".to_string(),
+        6 => format!("{:016x}", f64::NAN.to_bits()),
+        7 => format!("{:016x}", 0.0f64.to_bits()),
+        8 => format!("{:016x}", (-1.0f64).to_bits()),
+        9 => snap[c..d].to_string(),
+        10 => String::new(),
+        11 => (v % 64).to_string(),
+        12 => (v % 16).to_string(),
+        13 => format!("{v:016x}"),
+        14 => "x".to_string(),
+        _ => v.to_string(),
+    };
+    format!("{}{}{}", &snap[..a], repl, &snap[b..])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+    /// Restore treats snapshot text as untrusted: every single-token
+    /// mutation of a valid snapshot is restored or refused with a
+    /// labelled error — never a panic — and whatever restores passes
+    /// the conservation audit.
+    #[test]
+    fn mutated_snapshots_restore_or_err_without_panicking(
+        pick in 0usize..1_000_000,
+        how in 0usize..16,
+        v in 0u64..u64::MAX,
+    ) {
+        let (t, snap) = busy_snapshot();
+        let bad = mutate(snap, pick, how, v);
+        match FabricService::restore(t.clone(), &bad) {
+            Ok(r) => prop_assert!(r.audit().is_ok(), "restored but fails audit: {:?}", r.audit()),
+            Err(e) => prop_assert!(!e.is_empty()),
+        }
     }
 }

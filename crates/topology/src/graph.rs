@@ -58,6 +58,8 @@ pub struct Topo {
     pub aggs: Vec<NodeId>,
     /// Core switches.
     pub cores: Vec<NodeId>,
+    /// What every node is, indexed by node id.
+    kinds: Vec<NodeKind>,
     adj: Vec<Vec<Adj>>,
     /// MTU the experiments should use on this fabric (bytes on wire).
     pub mtu: u32,
@@ -72,6 +74,7 @@ impl Topo {
             tors: Vec::new(),
             aggs: Vec::new(),
             cores: Vec::new(),
+            kinds: Vec::new(),
             adj: Vec::new(),
             mtu,
         }
@@ -85,6 +88,7 @@ impl Topo {
     pub fn add_host(&mut self) -> NodeId {
         let id = self.builder().add_host();
         self.hosts.push(id);
+        self.kinds.push(NodeKind::Host);
         self.adj.push(Vec::new());
         id
     }
@@ -98,6 +102,7 @@ impl Topo {
             Tier::Core => self.cores.push(id),
             Tier::Other => {}
         }
+        self.kinds.push(NodeKind::Switch(tier));
         self.adj.push(Vec::new());
         id
     }
@@ -125,6 +130,12 @@ impl Topo {
     /// Adjacency list of `node`.
     pub fn neighbors(&self, node: NodeId) -> &[Adj] {
         &self.adj[node.idx()]
+    }
+
+    /// What `node` is, or `None` if the topology has no such node. A
+    /// table lookup, unlike scanning the per-tier lists.
+    pub fn kind(&self, node: NodeId) -> Option<NodeKind> {
+        self.kinds.get(node.idx()).copied()
     }
 
     /// Total number of nodes.
@@ -401,6 +412,15 @@ impl Topo {
         let lp = self.pod_partition();
         self.builder().set_partition(lp);
     }
+}
+
+/// What a node is: a host, or a switch of some tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKind {
+    /// An end host.
+    Host,
+    /// A switch with its tier tag.
+    Switch(Tier),
 }
 
 /// Switch tier tag.

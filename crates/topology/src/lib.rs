@@ -22,5 +22,5 @@
 pub mod graph;
 pub mod shapes;
 
-pub use graph::{Path, Tier, Topo};
+pub use graph::{NodeKind, Path, Tier, Topo};
 pub use shapes::{case2, dumbbell, leaf_spine, testbed, three_tier, TestbedCfg, ThreeTierCfg};
